@@ -4,7 +4,10 @@
 //! Every method that combines two `Var`s panics if they live on different
 //! tapes; this is always a programming error in the caller.
 
-use crate::linalg::{col2im, im2col, matmul, matmul_a_bt, matmul_at_b, Conv2dGeometry, PAR_MIN_MACS};
+use crate::linalg::{
+    col2im_add, depthwise_backward_image, depthwise_forward_image, fill_rows, gemm_into,
+    im2col_batch, matmul, matmul_a_bt, matmul_at_b, Conv2dGeometry, MatRef,
+};
 use crate::tape::{BackwardFn, Tape};
 use crate::tensor::Tensor;
 use std::rc::Rc;
@@ -16,54 +19,6 @@ pub(crate) fn sized(data: Vec<f32>, shape: &[usize], what: &str) -> Tensor {
         // Every call site allocates the buffer from the same dimensions it
         // passes as `shape`, so the length always matches.
         Err(e) => unreachable!("{what}: buffer sized by construction for {shape:?}: {e:?}"),
-    }
-}
-
-/// Run `f(image_index, image_chunk)` over the `n` disjoint `row_len`-sized
-/// blocks of `out`, fanning images across the pool when the op is worth
-/// `macs_per_image * n` multiply–accumulates. Per-image work is identical in
-/// either mode, so output is bit-identical for every thread count.
-fn conv_fan_out(
-    out: &mut [f32],
-    n: usize,
-    row_len: usize,
-    macs_per_image: u64,
-    f: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    if n == 0 || row_len == 0 {
-        return;
-    }
-    telemetry::CONV_MACS.add(macs_per_image.saturating_mul(n as u64));
-    if n >= 2 && macs_per_image.saturating_mul(n as u64) >= PAR_MIN_MACS as u64 {
-        threadpool::current().parallel_fill_rows(out, n, row_len, f);
-    } else {
-        for (ni, chunk) in out.chunks_mut(row_len).enumerate() {
-            f(ni, chunk);
-        }
-    }
-}
-
-/// As [`conv_fan_out`], but over per-image slot pairs (typically an input
-/// gradient slice plus a staging slice for that image's weight gradient).
-fn conv_fan_out_slots(
-    slots: &mut [(&mut [f32], &mut [f32])],
-    macs_per_image: u64,
-    f: impl Fn(usize, &mut [f32], &mut [f32]) + Sync,
-) {
-    let n = slots.len();
-    if n == 0 {
-        return;
-    }
-    telemetry::CONV_MACS.add(macs_per_image.saturating_mul(n as u64));
-    let run = |start: usize, chunk: &mut [(&mut [f32], &mut [f32])]| {
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            f(start + i, &mut *slot.0, &mut *slot.1);
-        }
-    };
-    if n >= 2 && macs_per_image.saturating_mul(n as u64) >= PAR_MIN_MACS as u64 {
-        threadpool::current().parallel_chunks_mut(slots, run);
-    } else {
-        run(0, slots);
     }
 }
 
@@ -684,60 +639,71 @@ impl Var {
         );
         let n = xs[0];
         let (co, oh, ow) = (geom.out_channels, geom.out_h(), geom.out_w());
-        let ckk = geom.col_rows();
+        let (ckk, pix) = (geom.col_rows(), oh * ow);
         let image_len = geom.in_channels * geom.in_h * geom.in_w;
-        let out_len = co * oh * ow;
-        let w2d = w.reshape(&[co, ckk]);
+        let out_len = co * pix;
+        let macs_per_image = geom.macs_per_image();
+        telemetry::CONV_MACS.add(macs_per_image.saturating_mul(n as u64));
+        let group = geom.images_per_group();
         let mut out = vec![0.0f32; n * out_len];
         {
-            // Per-image fan-out: each image's lowered GEMM is independent and
-            // writes a disjoint output slice, so any partition of images
-            // across lanes is bit-identical to the sequential loop.
-            let xd = x.data();
-            conv_fan_out(&mut out, n, out_len, geom.macs_per_image(), |ni, chunk| {
-                let img = &xd[ni * image_len..(ni + 1) * image_len];
-                let col = im2col(img, &geom);
-                chunk.copy_from_slice(matmul(&w2d, &col).data());
-            });
+            let (xd, wmat) = (x.data(), MatRef::row_major(w.data(), co, ckk));
+            let (mut col, mut y) = (Vec::new(), Vec::new());
+            // Each group of images is one GEMM, [co, ckk] @ [ckk, group*Ho*Wo];
+            // every output element keeps its per-image chain over ckk.
+            for i0 in (0..n).step_by(group) {
+                let gn = group.min(n - i0);
+                let images = &xd[i0 * image_len..(i0 + gn) * image_len];
+                col = im2col_batch(images, gn, &geom, col);
+                let col_mat = MatRef::row_major(&col, ckk, gn * pix);
+                gemm_into(wmat, col_mat, 1, None, &mut y);
+                // [co, gn, pix] -> [gn, co, pix]
+                let dst = &mut out[i0 * out_len..(i0 + gn) * out_len];
+                for (q, src) in y.chunks_exact(pix).enumerate() {
+                    let (c, ni) = (q / gn, q % gn);
+                    dst[(ni * co + c) * pix..(ni * co + c + 1) * pix].copy_from_slice(src);
+                }
+            }
         }
         let value = sized(out, &[n, co, oh, ow], "conv2d output");
         self.unary(
             value,
             Box::new(move |g| {
-                let w2d = w.reshape(&[co, ckk]);
-                let xd = x.data();
-                let gd = g.data();
+                telemetry::CONV_MACS.add(macs_per_image.saturating_mul(2 * n as u64));
+                let (xd, gd) = (x.data(), g.data());
+                let wt = MatRef::row_major(w.data(), co, ckk).t();
+                let (mut gcat, mut dcol, mut col) = (Vec::new(), Vec::new(), Vec::new());
+                let (mut dw, mut dw_next) = (Vec::new(), Vec::new());
                 let mut dx = vec![0.0f32; n * image_len];
-                // Per-image weight-gradient staging buffer: lanes fill
-                // disjoint `[co, ckk]` blocks, then the caller reduces them
-                // in image order so the dw sum is bit-identical to the
-                // sequential accumulation regardless of thread count.
-                let mut dw_per_image = vec![0.0f32; n * co * ckk];
-                {
-                    let mut slots: Vec<(&mut [f32], &mut [f32])> = dx
-                        .chunks_mut(image_len)
-                        .zip(dw_per_image.chunks_mut(co * ckk))
-                        .collect();
-                    let macs = geom.macs_per_image().saturating_mul(2);
-                    conv_fan_out_slots(&mut slots, macs, |ni, dx_img, dw_img| {
-                        let img = &xd[ni * image_len..(ni + 1) * image_len];
-                        let col = im2col(img, &geom);
-                        let gmat = sized(
-                            gd[ni * out_len..(ni + 1) * out_len].to_vec(),
-                            &[co, oh * ow],
-                            "conv2d grad slice",
-                        );
-                        dw_img.copy_from_slice(matmul_a_bt(&gmat, &col).data());
-                        let dcol = matmul_at_b(&w2d, &gmat);
-                        col2im(&dcol, &geom, dx_img);
-                    });
-                }
-                let mut dw = vec![0.0f32; co * ckk];
-                for image_dw in dw_per_image.chunks(co * ckk) {
-                    for (d, s) in dw.iter_mut().zip(image_dw.iter()) {
-                        *d += s;
+                for i0 in (0..n).step_by(group) {
+                    let gn = group.min(n - i0);
+                    // The group's G as [co, gn*Ho*Wo].
+                    gcat.clear();
+                    gcat.resize(gn * out_len, 0.0);
+                    let g_group = &gd[i0 * out_len..(i0 + gn) * out_len];
+                    for (q, src) in g_group.chunks_exact(pix).enumerate() {
+                        let (ni, c) = (q / co, q % co);
+                        gcat[(c * gn + ni) * pix..(c * gn + ni + 1) * pix].copy_from_slice(src);
                     }
+                    let gmat = MatRef::row_major(&gcat, co, gn * pix);
+                    // dcol = W^T G, scattered back by one restartable row per image.
+                    gemm_into(wt, gmat, 1, None, &mut dcol);
+                    let work = (gn * ckk * pix) as u64;
+                    let dx_group = &mut dx[i0 * image_len..(i0 + gn) * image_len];
+                    fill_rows(dx_group, gn, image_len, work, |ni, dx_img| {
+                        col2im_add(&dcol[ni * pix..], gn * pix, &geom, dx_img);
+                    });
+                    // dW: one chain over Ho*Wo per image, added in image order
+                    // onto the sum of the earlier groups.
+                    let images = &xd[i0 * image_len..(i0 + gn) * image_len];
+                    col = im2col_batch(images, gn, &geom, col);
+                    let col_t = MatRef::row_major(&col, ckk, gn * pix).t();
+                    let base = (i0 > 0).then_some(dw.as_slice());
+                    gemm_into(gmat, col_t, gn, base, &mut dw_next);
+                    std::mem::swap(&mut dw, &mut dw_next);
                 }
+                // Empty batch: a zero gradient.
+                dw.resize(co * ckk, 0.0);
                 let dw = sized(
                     dw,
                     &[co, geom.in_channels, geom.kernel, geom.kernel],
@@ -781,94 +747,45 @@ impl Var {
         let (n, c, h, wd) = (xs[0], xs[1], xs[2], xs[3]);
         let (oh, ow) = (geom.out_h(), geom.out_w());
         let k = geom.kernel;
-        let (stride, pad) = (geom.stride, geom.padding);
         let macs_per_image = (c * k * k * oh * ow) as u64;
-        let mut out = vec![0.0f32; n * c * oh * ow];
+        let (image_len, out_len, dw_len) = (c * h * wd, c * oh * ow, c * k * k);
+        telemetry::CONV_MACS.add(macs_per_image.saturating_mul(n as u64));
+        let mut out = vec![0.0f32; n * out_len];
         {
-            let xd = x.data();
-            let wv = w.data();
-            conv_fan_out(&mut out, n, c * oh * ow, macs_per_image, |ni, chunk| {
-                for ci in 0..c {
-                    let ibase = (ni * c + ci) * h * wd;
-                    let obase = ci * oh * ow;
-                    let wbase = ci * k * k;
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut acc = 0.0f32;
-                            for ky in 0..k {
-                                let iy = (oy * stride + ky) as isize - pad as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for kx in 0..k {
-                                    let ix = (ox * stride + kx) as isize - pad as isize;
-                                    if ix < 0 || ix >= wd as isize {
-                                        continue;
-                                    }
-                                    acc += xd[ibase + iy as usize * wd + ix as usize]
-                                        * wv[wbase + ky * k + kx];
-                                }
-                            }
-                            chunk[obase + oy * ow + ox] = acc;
-                        }
-                    }
-                }
+            let (xd, wv) = (x.data(), w.data());
+            let macs = macs_per_image.saturating_mul(n as u64);
+            fill_rows(&mut out, n, out_len, macs, |ni, chunk| {
+                let img = &xd[ni * image_len..(ni + 1) * image_len];
+                depthwise_forward_image(img, wv, &geom, chunk);
             });
         }
         let value = sized(out, &[n, c, oh, ow], "depthwise conv output");
         self.unary(
             value,
             Box::new(move |g| {
-                let xd = x.data();
-                let wv = w.data();
-                let gd = g.data();
-                let mut dx = vec![0.0f32; n * c * h * wd];
-                // Per-image dw staging, reduced in image order below, so the
-                // shared weight gradient is bit-identical for any thread
-                // count (see conv2d's backward for the same pattern).
-                let mut dw_per_image = vec![0.0f32; n * c * k * k];
-                {
-                    let mut slots: Vec<(&mut [f32], &mut [f32])> = dx
-                        .chunks_mut(c * h * wd)
-                        .zip(dw_per_image.chunks_mut(c * k * k))
-                        .collect();
-                    let macs = macs_per_image.saturating_mul(2);
-                    conv_fan_out_slots(&mut slots, macs, |ni, dx_img, dw_img| {
-                        for ci in 0..c {
-                            let ibase = ci * h * wd;
-                            let obase = (ni * c + ci) * oh * ow;
-                            let wbase = ci * k * k;
-                            for oy in 0..oh {
-                                for ox in 0..ow {
-                                    let gv = gd[obase + oy * ow + ox];
-                                    if gv == 0.0 {
-                                        continue;
-                                    }
-                                    for ky in 0..k {
-                                        let iy = (oy * stride + ky) as isize - pad as isize;
-                                        if iy < 0 || iy >= h as isize {
-                                            continue;
-                                        }
-                                        for kx in 0..k {
-                                            let ix =
-                                                (ox * stride + kx) as isize - pad as isize;
-                                            if ix < 0 || ix >= wd as isize {
-                                                continue;
-                                            }
-                                            let ii = ibase + iy as usize * wd + ix as usize;
-                                            dx_img[ii] += gv * wv[wbase + ky * k + kx];
-                                            dw_img[wbase + ky * k + kx] +=
-                                                gv * xd[(ni * c) * h * wd + ii];
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    });
-                }
-                let mut dw = vec![0.0f32; c * k * k];
-                for image_dw in dw_per_image.chunks(c * k * k) {
-                    for (d, s) in dw.iter_mut().zip(image_dw.iter()) {
+                let macs = macs_per_image.saturating_mul(2 * n as u64);
+                telemetry::CONV_MACS.add(macs);
+                let (xd, wv, gd) = (x.data(), w.data(), g.data());
+                // One row per image, `[dx | dw]`; the dw blocks are reduced
+                // in image order below (see conv2d's backward).
+                let mut per_image = vec![0.0f32; n * (image_len + dw_len)];
+                fill_rows(&mut per_image, n, image_len + dw_len, macs, |ni, row| {
+                    let (dx_img, dw_img) = row.split_at_mut(image_len);
+                    depthwise_backward_image(
+                        &xd[ni * image_len..(ni + 1) * image_len],
+                        wv,
+                        &gd[ni * out_len..(ni + 1) * out_len],
+                        &geom,
+                        dx_img,
+                        dw_img,
+                    );
+                });
+                let mut dw = vec![0.0f32; dw_len];
+                let mut dx = Vec::with_capacity(n * image_len);
+                for row in per_image.chunks_exact(image_len + dw_len) {
+                    let (dx_img, dw_img) = row.split_at(image_len);
+                    dx.extend_from_slice(dx_img);
+                    for (d, s) in dw.iter_mut().zip(dw_img) {
                         *d += s;
                     }
                 }
@@ -1287,6 +1204,33 @@ mod tests {
             w.grad().unwrap().data(),
             &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
         );
+    }
+
+    #[test]
+    fn depthwise_backward_propagates_nan_through_zero_grads() {
+        // 0 × NaN and 0 × ∞ must yield NaN per IEEE-754; a zero-gradient
+        // skip in the backward used to silently drop them.
+        let tape = Tape::new();
+        let x = leaf(&tape, vec![f32::NAN, 1.0, 1.0, 1.0], &[1, 1, 2, 2]);
+        let w = leaf(&tape, vec![f32::INFINITY, 1.0, 1.0, 1.0], &[1, 2, 2]);
+        let geom = Conv2dGeometry {
+            in_channels: 1,
+            out_channels: 1,
+            kernel: 2,
+            stride: 1,
+            padding: 0,
+            in_h: 2,
+            in_w: 2,
+        };
+        let y = x.depthwise_conv2d(&w, geom);
+        y.backward_with(Tensor::zeros(&[1, 1, 1, 1]));
+        let (dx, dw) = (x.grad().unwrap(), w.grad().unwrap());
+        assert!(dx.data()[0].is_nan(), "0 * inf must reach dx");
+        assert!(dw.data()[0].is_nan(), "0 * NaN must reach dw");
+        // Every finite product with a zero gradient is +0.0.
+        assert_eq!(&dx.data()[1..], &[0.0, 0.0, 0.0]);
+        assert!(dx.data()[1..].iter().all(|v| v.is_sign_positive()));
+        assert_eq!(&dw.data()[1..], &[0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -31,6 +31,13 @@ cargo run -q --release -p a3cs-bench --bin obs_smoke
 echo "==> ckpt smoke (delta chain bit-rot quarantined + fallback bit-identical)"
 cargo run -q --release -p a3cs-bench --bin ckpt_smoke
 
+echo "==> co-search benchmark helper tests"
+cargo test -q --offline --manifest-path cosearch_bench/Cargo.toml
+
+echo "==> co-search benchmark smoke (tiny-train, 3 s, traced; non-zero exit on any failed check)"
+cargo run -q --release --offline --manifest-path cosearch_bench/Cargo.toml -- \
+    --workload tiny-train --seconds 3 --trace 1 | tail -n 1
+
 echo "==> a3cs-check determinism lint (deny new findings + stale allowlist)"
 cargo run -q -p a3cs-check --bin lint -- --deny-new
 
